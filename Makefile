@@ -48,9 +48,10 @@ bench:
 # bench-ci mirrors CI's bench job: the performance-sensitive paths only,
 # with the raw -json stream archived under a dated name for benchstat /
 # bench-compare diffs. The pinned set covers selection (GreedyCover), the
-# mining pipeline (SumGen*), the E_v^r cache, the matcher hot paths, the
-# graph substrate, and the fgstore write/recovery paths.
-BENCH_CI_RE := BenchmarkGreedyCover|BenchmarkSumGen$$|BenchmarkSumGenParallel|BenchmarkSumGenPartitioned|BenchmarkErCacheHit|BenchmarkSumGenObs|BenchmarkMatchAtStar|BenchmarkMatchAtChain3|BenchmarkCoveredEdgesAt|BenchmarkErCacheGet|BenchmarkRHopEdges2|BenchmarkAddEdge|BenchmarkAddEdgeHighDegree|BenchmarkHasEdge|BenchmarkBuildPartition|BenchmarkWALAppend|BenchmarkRecoveryReplay
+# mining pipeline (SumGen*), the E_v^r cache, the matcher hot paths (capped
+# and exact P_E), one Inc-FGS update batch (MaintainerApply), the graph
+# substrate, and the fgstore write/recovery paths.
+BENCH_CI_RE := BenchmarkGreedyCover|BenchmarkSumGen$$|BenchmarkSumGenParallel|BenchmarkSumGenPartitioned|BenchmarkErCacheHit|BenchmarkSumGenObs|BenchmarkMatchAtStar|BenchmarkMatchAtChain3|BenchmarkCoveredEdgesAt$$|BenchmarkCoveredEdgesAtUncapped|BenchmarkMaintainerApply|BenchmarkErCacheGet|BenchmarkRHopEdges2|BenchmarkAddEdge|BenchmarkAddEdgeHighDegree|BenchmarkHasEdge|BenchmarkBuildPartition|BenchmarkWALAppend|BenchmarkRecoveryReplay
 
 # The raw stream is also condensed into BENCH_<date>-summary.json — a compact
 # sorted {name, ns_per_op, bytes_per_op, allocs_per_op} array for dashboards

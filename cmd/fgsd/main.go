@@ -64,7 +64,7 @@ func main() {
 		queue     = flag.Int("queue", 0, "admission queue depth (0 = 4x workers, negative = no queue)")
 		cacheEnt  = flag.Int("cache-entries", 256, "epoch-keyed result cache capacity (negative = disabled)")
 		deadline  = flag.Duration("deadline", 30*time.Second, "per-request deadline (queue wait included)")
-		embedCap  = flag.Int("embed-cap", 0, "embedding enumeration cap for view/workload queries (0 = default)")
+		embedCap  = flag.Int("embed-cap", 0, "embeddings per (pattern, anchor) collected for P_E (0 = SumGen default of 512 when mining, no cap when the maintainer re-scores)")
 		readMode  = flag.String("read-mode", "mvcc", "read path: mvcc (epoch-snapshot views) or locked (RWMutex baseline)")
 		maxViews  = flag.Int("max-views", 0, "MVCC replica pool cap; bounds graph memory to max-views copies (0 = default 3, min 2)")
 		shards    = flag.Int("shards", 0, "focus-region shards per epoch view for partition-parallel summarization (0 or 1 = off; mvcc mode only)")

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"slices"
+	"sync"
+	"time"
+
 	"github.com/cwru-db/fgs/internal/obs"
 )
 
@@ -12,35 +16,80 @@ const (
 	PhaseSummarize = "summarize"
 )
 
-// runObs carries one algorithm run's observability state. Every run has one,
-// even with no caller-supplied Observer: a private trace is cheap (a handful
-// of spans) and keeps Stats an honest view of the spans actually recorded,
-// rather than a parallel bookkeeping path that could drift.
+// runObs carries one algorithm run's observability state. Stats are folded
+// from the phase spans as each one ends, so reading them costs O(phases)
+// however long the run lives — the Maintainer's run lasts its whole
+// lifetime, one batch after another. With a caller-supplied trace every
+// span lands there in full and stays (the trace is the caller's to keep or
+// drop); without one no span log is kept at all and phases are timed from
+// the clock alone, so memory stays flat over an unbounded run.
 type runObs struct {
-	tr   *obs.Trace
-	reg  *obs.Registry // nil when no collector is installed
-	root obs.Span
+	tr    *obs.Trace    // caller-supplied trace, nil when none
+	clock obs.Clock     // times phases when there is no trace
+	reg   *obs.Registry // nil when no collector is installed
+	root  obs.Span      // inert without a caller trace
+
+	mu     sync.Mutex  // Stats may be read while a phase ends elsewhere
+	phases []PhaseStat // merged by name, in order of first completion
 }
 
 // startRun opens the root span for one algorithm run. When the observer
-// carries a trace, spans land there (and show up in -fgs.trace exports);
-// otherwise a private trace backs the Stats view alone.
+// carries a trace, spans land there (and show up in -fgs.trace exports).
 func startRun(o *obs.Observer, name string) *runObs {
 	tr := o.GetTrace()
-	if tr == nil {
-		tr = obs.NewTrace(o.GetClock())
-	}
-	return &runObs{tr: tr, reg: o.GetReg(), root: tr.Start(name)}
+	return &runObs{tr: tr, clock: o.GetClock(), reg: o.GetReg(), root: tr.Start(name)}
+}
+
+// phaseSpan is one open pipeline phase; End folds its duration into the
+// run's Stats.
+type phaseSpan struct {
+	r     *runObs
+	sp    obs.Span
+	name  string
+	start time.Time // set only without a caller trace
 }
 
 // phase opens a child span for one pipeline phase.
-func (r *runObs) phase(name string) obs.Span { return r.root.Child(name) }
+func (r *runObs) phase(name string) phaseSpan {
+	p := phaseSpan{r: r, sp: r.root.Child(name), name: name}
+	if r.tr == nil {
+		p.start = r.clock.Now()
+	}
+	return p
+}
+
+// SetArg annotates the phase's span (dropped without a caller trace).
+func (p phaseSpan) SetArg(key string, val int64) { p.sp.SetArg(key, val) }
+
+// End closes the phase and folds its duration into the run's Stats: the
+// span's own measured duration when traced, the clock's otherwise.
+func (p phaseSpan) End() {
+	d := p.sp.End()
+	if p.r.tr == nil {
+		d = p.r.clock.Now().Sub(p.start)
+	}
+	p.r.fold(p.name, d)
+}
+
+// fold adds one completed phase span to the running totals. The algorithms
+// run their phases one after another, so order of first completion is
+// first-execution order.
+func (r *runObs) fold(name string, d time.Duration) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	i := slices.IndexFunc(r.phases, func(f PhaseStat) bool { return f.Name == name })
+	if i < 0 {
+		r.phases = append(r.phases, PhaseStat{Name: name})
+		i = len(r.phases) - 1
+	}
+	r.phases[i].Time += d
+	r.phases[i].Count++
+}
 
 // register adds a metrics source to the run's registry (no-op when none).
 func (r *runObs) register(s obs.Source) { r.reg.Register(s) }
 
-// finish closes the root span and derives the run's Stats from the span
-// tree.
+// finish closes the root span and returns the run's Stats.
 func (r *runObs) finish(candidates, windows int) Stats {
 	r.root.End()
 	return r.stats(candidates, windows)
@@ -51,34 +100,12 @@ func (r *runObs) finish(candidates, windows int) Stats {
 // open in the trace (and in any caller-supplied Observer's export).
 func (r *runObs) abort() { r.root.End() }
 
-// stats derives a Stats view from the run's direct child spans without
-// closing the root — streaming algorithms expose progress mid-run.
+// stats returns the folded Stats without closing the root — streaming
+// algorithms expose progress mid-run. Phases are merged by name, in
+// first-execution order, exactly as the completed direct children of the
+// root span would merge (statsView in the tests checks this).
 func (r *runObs) stats(candidates, windows int) Stats {
-	return statsView(r.tr, r.root.ID(), candidates, windows)
-}
-
-// statsView merges the completed direct children of the given root span by
-// name, in first-execution order. Filtering on the parent id keeps runs
-// sharing one trace (successive figures in fgsbench) from leaking into each
-// other's Stats.
-func statsView(tr *obs.Trace, rootID int32, candidates, windows int) Stats {
-	st := Stats{Candidates: candidates, Windows: windows}
-	for _, rec := range tr.Records() {
-		if rec.Parent != rootID || !rec.Done {
-			continue
-		}
-		found := false
-		for i := range st.Phases {
-			if st.Phases[i].Name == rec.Name {
-				st.Phases[i].Time += rec.Dur
-				st.Phases[i].Count++
-				found = true
-				break
-			}
-		}
-		if !found {
-			st.Phases = append(st.Phases, PhaseStat{Name: rec.Name, Time: rec.Dur, Count: 1})
-		}
-	}
-	return st
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return Stats{Phases: slices.Clone(r.phases), Candidates: candidates, Windows: windows}
 }

@@ -130,8 +130,8 @@ type PhaseStat struct {
 	Count int
 }
 
-// Stats carries per-phase timings and counters. It is a view derived from
-// the run's span tree (see statsView), so Total can never drift from the
+// Stats carries per-phase timings and counters. It is folded from the run's
+// phase spans as they end (see runObs), so Total can never drift from the
 // phases actually run.
 type Stats struct {
 	// Phases lists the run's phases in first-execution order.

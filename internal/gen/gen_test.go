@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/cwru-db/fgs/internal/graph"
@@ -117,6 +118,32 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	d := DBP(9, 1)
 	if c.NumEdges() != d.NumEdges() {
 		t.Fatal("DBP not deterministic")
+	}
+}
+
+// TestGeneratorsByteDeterministic: repeated generation must encode to the
+// same FGSB bytes. The interner tables are part of the encoding, so this
+// fails whenever attribute keys or values are interned in map-iteration
+// order.
+func TestGeneratorsByteDeterministic(t *testing.T) {
+	encode := func(g *graph.Graph) []byte {
+		var buf bytes.Buffer
+		if err := graph.WriteBinary(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for name, gen := range map[string]func() *graph.Graph{
+		"LKI":      func() *graph.Graph { return LKI(42, 1) },
+		"LKISized": func() *graph.Graph { return LKISized(42, 3000) },
+		"DBP":      func() *graph.Graph { return DBP(42, 1) },
+	} {
+		want := encode(gen())
+		for i := 0; i < 4; i++ {
+			if got := encode(gen()); !bytes.Equal(got, want) {
+				t.Fatalf("%s: generation %d encodes to different FGSB bytes", name, i+2)
+			}
+		}
 	}
 }
 

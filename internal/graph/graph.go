@@ -117,7 +117,9 @@ func (g *Graph) NumNodes() int { return len(g.labelOf) }
 func (g *Graph) NumEdges() int { return g.numEdges }
 
 // AddNode inserts a node with the given label and attribute tuple and returns
-// its ID. The attrs map may be nil.
+// its ID. The attrs map may be nil. Keys and values are interned in sorted
+// key order, so the interner tables — and the FGSB bytes that carry them —
+// do not depend on map iteration order.
 func (g *Graph) AddNode(label string, attrs map[string]string) NodeID {
 	id := NodeID(len(g.labelOf))
 	lid := LabelID(g.nodeLabels.Intern(label))
@@ -125,9 +127,14 @@ func (g *Graph) AddNode(label string, attrs map[string]string) NodeID {
 
 	var tuple []Attr
 	if len(attrs) > 0 {
+		keys := make([]string, 0, len(attrs))
+		for k := range attrs {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
 		tuple = make([]Attr, 0, len(attrs))
-		for k, v := range attrs {
-			tuple = append(tuple, Attr{Key: g.attrKeys.Intern(k), Val: g.attrVals.Intern(v)})
+		for _, k := range keys {
+			tuple = append(tuple, Attr{Key: g.attrKeys.Intern(k), Val: g.attrVals.Intern(attrs[k])})
 		}
 		sort.Slice(tuple, func(i, j int) bool { return tuple[i].Key < tuple[j].Key })
 	}

@@ -87,6 +87,11 @@ type compiled struct {
 	back    [][]cEdge
 	backOff []int
 	nback   int
+	// leafLast is set when the last matching position is a leaf whose only
+	// pattern edge is its anchor edge (no back edges): its images depend on
+	// the prefix only through the parent's image and injectivity, which the
+	// uncapped covered-edge union exploits (see settleLeaf).
+	leafLast bool
 
 	// nodeBits[u] is the graph's per-label node bitset for labels[u], taken
 	// at compile time; nbound is the node count then. nodeOK consults the
@@ -201,6 +206,7 @@ func (m *Matcher) compile(p *Pattern) compiled {
 			c.nback++
 		}
 	}
+	c.leafLast = n >= 2 && len(c.back[n-1]) == 0
 
 	c.nodeBits = make([]*graph.NodeBits, n)
 	for u, lid := range c.labels {
@@ -271,7 +277,7 @@ func (m *Matcher) MatchAt(p *Pattern, v graph.NodeID) bool {
 	m.search(c, v, func(*searchScratch) bool {
 		found = true
 		return false // stop at first embedding
-	})
+	}, nil)
 	return found
 }
 
@@ -279,6 +285,14 @@ func (m *Matcher) MatchAt(p *Pattern, v graph.NodeID) bool {
 // edge in any embedding of p anchored at v (up to EmbedCap embeddings),
 // together with whether at least one embedding exists. This is the hot-path
 // form; CoveredEdgesAt adapts it to the map representation.
+//
+// The cost follows the output rather than the embedding count: an emit adds
+// only the positions re-assigned since the previous one (searchScratch.low),
+// and with EmbedCap 0 a back-edge-free final leaf is settled once per prefix
+// through a per-parent memo instead of once per embedding (settleLeaf).
+// Capped searches enumerate exactly the embeddings, in exactly the order,
+// they always did, so the first EmbedCap embeddings — and the union — are
+// unchanged.
 func (m *Matcher) CoveredEdgeBitsAt(p *Pattern, v graph.NodeID) (*graph.EdgeBits, bool) {
 	c := m.compiledFor(p)
 	if !c.ok || !c.nodeOK(m.g, c.focus, v) {
@@ -286,24 +300,105 @@ func (m *Matcher) CoveredEdgeBitsAt(p *Pattern, v graph.NodeID) (*graph.EdgeBits
 	}
 	edges := graph.NewEdgeBits(0)
 	count := 0
-	m.search(c, v, func(s *searchScratch) bool {
-		// Every pattern edge is either some position's anchor (tree) edge or
-		// was verified when its later endpoint was placed; search recorded
-		// the matched graph edge for both, so the union needs no edge-index
-		// probes.
-		for pos := 1; pos < len(s.treeID); pos++ {
-			edges.Add(s.treeID[pos])
-			for _, id := range s.extraID[pos] {
-				edges.Add(id)
-			}
-		}
+	emit := func(s *searchScratch) bool {
+		s.emitEdges(edges, len(s.treeID))
 		count++
 		return m.EmbedCap == 0 || count < m.EmbedCap
-	})
+	}
+	var leaf func(*searchScratch, graph.NodeID) bool
+	if m.EmbedCap == 0 && c.leafLast {
+		leaf = func(s *searchScratch, parent graph.NodeID) bool {
+			if !m.settleLeaf(c, s, parent, edges) {
+				return false
+			}
+			s.emitEdges(edges, len(s.treeID)-1)
+			count++
+			return true
+		}
+	}
+	m.search(c, v, emit, leaf)
 	if count == 0 {
 		return nil, false
 	}
 	return edges, true
+}
+
+// settleLeaf adds to edges the final leaf's matched edge in every completion
+// of the current prefix (positions 0..n-2, stamped in s) and reports whether
+// there is at least one. The leaf hangs off the graph node parent by its
+// anchor edge alone, so its candidates F(parent) — the parent's adjacency
+// entries passing the edge-label and node filters — are the same for every
+// prefix; a prefix only blocks those whose endpoint it already uses, and it
+// uses n-1 nodes. Edges are unique per (endpoints, label), so at most n-1
+// candidates are blocked at a time.
+//
+// The first prefix seen with a given parent image scans F(parent) once,
+// adds every unblocked candidate, and memoises the first n candidates plus
+// the blocked ones. A later prefix with the same parent has a completion iff
+// one of those first n is free (at most n-1 can be blocked), and the only
+// candidate edges it can add that are not in edges yet are the memoised
+// blocked ones it leaves free; those are added and dropped from the memo.
+// The union over all prefixes is thus exactly the union over all
+// embeddings.
+func (m *Matcher) settleLeaf(c *compiled, s *searchScratch, parent graph.NodeID, edges *graph.EdgeBits) bool {
+	stamp, epoch := s.stamp, s.epoch
+	if s.memoStamp[parent] == epoch {
+		e := &s.memos[s.memoIdx[parent]]
+		free := false
+		for _, v := range s.memoFirst[e.first : e.first+e.nfirst] {
+			if stamp[v] != epoch {
+				free = true
+				break
+			}
+		}
+		if !free {
+			return false
+		}
+		blocked := s.memoBlocked[e.blocked : e.blocked+e.nblocked]
+		for i := 0; i < len(blocked); {
+			if stamp[blocked[i].To] == epoch {
+				i++
+				continue
+			}
+			edges.Add(blocked[i].ID)
+			blocked[i] = blocked[len(blocked)-1]
+			blocked = blocked[:len(blocked)-1]
+		}
+		e.nblocked = int32(len(blocked))
+		return true
+	}
+
+	n := len(c.labels)
+	u := c.order[n-1]
+	a := c.anchorOf[n-1]
+	var cands []graph.Edge
+	if a.out {
+		cands = m.g.In(parent)
+	} else {
+		cands = m.g.Out(parent)
+	}
+	e := leafMemo{first: int32(len(s.memoFirst)), blocked: int32(len(s.memoBlocked))}
+	free := false
+	for _, ge := range cands {
+		if ge.Label != a.label || !c.nodeOK(m.g, u, ge.To) {
+			continue
+		}
+		if int(e.nfirst) < n {
+			s.memoFirst = append(s.memoFirst, ge.To)
+			e.nfirst++
+		}
+		if stamp[ge.To] == epoch {
+			s.memoBlocked = append(s.memoBlocked, ge)
+			e.nblocked++
+			continue
+		}
+		edges.Add(ge.ID)
+		free = true
+	}
+	s.memoStamp[parent] = epoch
+	s.memoIdx[parent] = int32(len(s.memos))
+	s.memos = append(s.memos, e)
+	return free
 }
 
 // CoveredEdgesAt is CoveredEdgeBitsAt in the map representation, kept for
@@ -333,7 +428,7 @@ func (m *Matcher) CoverAmong(p *Pattern, candidates []graph.NodeID) []graph.Node
 			continue
 		}
 		found := false
-		m.search(c, v, func(*searchScratch) bool { found = true; return false })
+		m.search(c, v, func(*searchScratch) bool { found = true; return false }, nil)
 		if found {
 			covered = append(covered, v)
 		}
@@ -389,6 +484,56 @@ type searchScratch struct {
 	// already mapped and stays put for the whole candidate loop, so its
 	// (usually short) list is loaded once and scanned in-cache per candidate.
 	backSrc [][]graph.Edge
+
+	// low is the emit low-water mark: the lowest position placed since the
+	// previous emitEdges. Positions below it hold the assignment whose edges
+	// were already added, so an emit adds positions low.. only.
+	low int
+
+	// Final-leaf memo of the uncapped covered-edge union (settleLeaf), keyed
+	// by the parent's graph image: memoStamp[p] == epoch marks an entry of
+	// this search at memos[memoIdx[p]], whose candidates live in the flat
+	// memoFirst / memoBlocked arrays. Allocated on first use only.
+	memoStamp   []uint32
+	memoIdx     []int32
+	memos       []leafMemo
+	memoFirst   []graph.NodeID
+	memoBlocked []graph.Edge
+}
+
+// leafMemo is one parent image's final-leaf entry: memoFirst[first:
+// first+nfirst] are the first n filtered candidates' endpoints (witness
+// probes) and memoBlocked[blocked:blocked+nblocked] the candidates blocked
+// so far, not yet added.
+type leafMemo struct {
+	first, nfirst     int32
+	blocked, nblocked int32
+}
+
+// emitEdges adds the matched edges of positions s.low..end-1 to edges and
+// marks the current assignment emitted. Every pattern edge is either some
+// position's anchor (tree) edge or was verified when its later endpoint was
+// placed; search recorded the matched graph edge for both, so the union
+// needs no edge-index probes.
+func (s *searchScratch) emitEdges(edges *graph.EdgeBits, end int) {
+	for pos := s.low; pos < end; pos++ {
+		edges.Add(s.treeID[pos])
+		for _, id := range s.extraID[pos] {
+			edges.Add(id)
+		}
+	}
+	s.low = len(s.treeID)
+}
+
+// resetMemo empties the final-leaf memo for a new search over nn nodes.
+func (s *searchScratch) resetMemo(nn int) {
+	if len(s.memoStamp) < nn {
+		s.memoStamp = make([]uint32, nn)
+		s.memoIdx = make([]int32, nn)
+	}
+	s.memos = s.memos[:0]
+	s.memoFirst = s.memoFirst[:0]
+	s.memoBlocked = s.memoBlocked[:0]
 }
 
 // acquireSearch returns a scratch with assign sized for n pattern nodes,
@@ -429,6 +574,7 @@ func (m *Matcher) acquireSearch(n, nback int) *searchScratch {
 	s.epoch++
 	if s.epoch == 0 {
 		clear(s.stamp)
+		clear(s.memoStamp)
 		s.epoch = 1
 	}
 	return s
@@ -438,10 +584,20 @@ func (m *Matcher) acquireSearch(n, nback int) *searchScratch {
 // with the live scratch (s.assign maps pattern node -> graph node, s.treeID
 // and s.extraID carry the matched graph-edge IDs); returning false stops the
 // search.
-func (m *Matcher) search(c *compiled, anchor graph.NodeID, emit func(*searchScratch) bool) {
+//
+// leaf, which callers pass only when c.leafLast holds, replaces the last
+// level: it is called once per prefix (positions 0..n-2 placed and
+// stamped) with the parent's image, settles every completion of that
+// prefix itself, and reports whether there was one. Such a search never
+// stops early and counts one embedding per completing prefix.
+func (m *Matcher) search(c *compiled, anchor graph.NodeID, emit func(*searchScratch) bool, leaf func(*searchScratch, graph.NodeID) bool) {
 	n := len(c.labels)
 	s := m.acquireSearch(n, c.nback)
 	defer m.searchPool.Put(s)
+	if leaf != nil {
+		s.resetMemo(m.g.NumNodes())
+	}
+	s.low = 1
 	assign, stamp, epoch := s.assign, s.stamp, s.epoch
 	assign[c.order[0]] = anchor
 	stamp[anchor] = epoch
@@ -457,6 +613,12 @@ func (m *Matcher) search(c *compiled, anchor graph.NodeID, emit func(*searchScra
 		if pos == n {
 			embeddings++
 			return emit(s)
+		}
+		if leaf != nil && pos == n-1 {
+			if leaf(s, assign[c.anchorOf[pos].other]) {
+				embeddings++
+			}
+			return true
 		}
 		u := c.order[pos]
 		a := c.anchorOf[pos]
@@ -555,6 +717,9 @@ func (m *Matcher) search(c *compiled, anchor graph.NodeID, emit func(*searchScra
 			assign[u] = v
 			s.treeID[pos] = ge.ID
 			stamp[v] = epoch
+			if pos < s.low {
+				s.low = pos
+			}
 			cont := rec(pos + 1)
 			stamp[v] = 0
 			if !cont {

@@ -78,3 +78,23 @@ func BenchmarkCanonicalCode(b *testing.B) {
 		CanonicalCode(p)
 	}
 }
+
+// BenchmarkCoveredEdgesAtUncapped collects the exact (EmbedCap 0) P_E of a
+// two-leaf star anchored at a hub with 400 in-neighbours: about 160k
+// embeddings, whose union is the hub's 400 in-edges.
+func BenchmarkCoveredEdgesAtUncapped(b *testing.B) {
+	g := benchSocialGraph(b, 2000)
+	rng := rand.New(rand.NewSource(2))
+	hub := graph.NodeID(0)
+	for added := 0; added < 400; {
+		if g.AddEdge(graph.NodeID(1+rng.Intn(1999)), hub, "recommend") == nil {
+			added++
+		}
+	}
+	m := NewMatcher(g, 0)
+	p := star()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.CoveredEdgeBitsAt(p, hub)
+	}
+}

@@ -59,7 +59,7 @@ func (m *Matcher) coverAmongParallel(c *compiled, candidates []graph.NodeID) []g
 					continue
 				}
 				found := false
-				m.search(c, v, func(*searchScratch) bool { found = true; return false })
+				m.search(c, v, func(*searchScratch) bool { found = true; return false }, nil)
 				matched[i] = found
 			}
 		}(lo, hi)

@@ -78,8 +78,14 @@ type Config struct {
 	// preemptible), so the deadline's job is shedding work that would start
 	// too late. 0 picks the default (30s).
 	Deadline time.Duration
-	// EmbedCap bounds embedding enumeration for view and workload queries
-	// when the request does not set its own (0 = matcher default).
+	// EmbedCap bounds how many embeddings per (pattern, anchor) are
+	// enumerated when collecting covered edges P_E. It feeds the mining
+	// config of every summarize run and of the maintained summary, and is
+	// the default for view and workload requests that set no cap. 0 means
+	// two things: SumGen maps it to its default cap of 512, while the
+	// maintainer's re-scoring matcher takes it literally — no cap — and so
+	// keeps the maintained summary's P_E exact. View and workload queries
+	// only test coverage, which the cap does not affect.
 	EmbedCap int
 	// ReadMode selects the read path: "mvcc" (default) serves reads from
 	// pinned epoch views so they never contend with the writer; "locked"

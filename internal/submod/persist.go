@@ -38,9 +38,9 @@ type StateCodec interface {
 // PostSelect calls depend on. Weights is parallel to Selected (the weight
 // w(v) recorded when v was accepted — the swap rule compares against the
 // recorded weight, not a recomputed marginal); Buckets holds the rejected
-// nodes per group in arrival order (PostSelect's candidate pool). Utility
-// carries the opaque StateCodec bytes, nil when the utility rebuilds from
-// the selection.
+// nodes per group, each once, in order of first rejection (PostSelect's
+// candidate pool). Utility carries the opaque StateCodec bytes, nil when
+// the utility rebuilds from the selection.
 type StreamerState struct {
 	Selected []graph.NodeID
 	Weights  []float64
@@ -109,8 +109,12 @@ func ResumeStreamer(groups *Groups, util Utility, n int, st *StreamerState) (*St
 		s.counts[gi]++
 		s.weights[v] = st.Weights[i]
 	}
+	// Checkpoints written before buckets were deduplicated may list a node
+	// several times; its first entry is the one PostSelect would have used.
 	for gi, b := range st.Buckets {
-		s.buckets[gi] = append([]graph.NodeID(nil), b...)
+		for _, v := range b {
+			s.bucket(gi, v)
+		}
 	}
 	return s, nil
 }

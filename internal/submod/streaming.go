@@ -32,7 +32,8 @@ type StreamResult struct {
 // extendable (procedure ExtendableM), swapped in when its gain sufficiently
 // exceeds the weight of a removable earlier pick (the swap rule of [17],
 // gain(v) >= 2·w(v⁻)), and rejected otherwise. Rejected nodes are bucketed
-// per group so post-processing can repair unmet lower bounds.
+// per group so post-processing can repair unmet lower bounds; a node is
+// bucketed once, at its first rejection, however often it is re-streamed.
 //
 // The overall guarantee is the ¼-approximation of streaming fair submodular
 // maximization that Theorem 6 builds on.
@@ -45,7 +46,8 @@ type Streamer struct {
 	order    []graph.NodeID // insertion order, for deterministic output
 	counts   []int
 	weights  map[graph.NodeID]float64 // w(v) recorded at acceptance time
-	buckets  [][]graph.NodeID         // per-group rejected nodes
+	buckets  [][]graph.NodeID         // per-group rejected nodes, first arrival order
+	bucketed graph.NodeSet            // nodes currently in some bucket
 
 	// Decision counters for ObsMetrics; plain ints — the streamer is not
 	// concurrent.
@@ -64,6 +66,7 @@ func NewStreamer(groups *Groups, util Utility, n int) *Streamer {
 		counts:   make([]int, groups.Len()),
 		weights:  make(map[graph.NodeID]float64, n),
 		buckets:  make([][]graph.NodeID, groups.Len()),
+		bucketed: graph.NewNodeSet(0),
 	}
 }
 
@@ -104,9 +107,20 @@ func (s *Streamer) Process(v graph.NodeID) StreamResult {
 		return StreamResult{Decision: Swapped, Evicted: evict}
 	}
 
-	s.buckets[gi] = append(s.buckets[gi], v)
+	s.bucket(gi, v)
 	s.rejected++
 	return StreamResult{Decision: Rejected}
+}
+
+// bucket records a rejected node in its group's bucket unless it is there
+// already. Inc-FGS re-streams every affected group node each batch, so
+// without the membership check buckets would grow with the batch count.
+func (s *Streamer) bucket(gi int, v graph.NodeID) {
+	if s.bucketed.Has(v) {
+		return
+	}
+	s.bucketed.Add(v)
+	s.buckets[gi] = append(s.buckets[gi], v)
 }
 
 func (s *Streamer) accept(v graph.NodeID, gi int, w float64) {
@@ -152,7 +166,8 @@ func (s *Streamer) DeficientGroups() []int {
 	return out
 }
 
-// Bucket returns the rejected nodes of a group, in arrival order.
+// Bucket returns the rejected nodes of a group, each once, in order of first
+// rejection.
 func (s *Streamer) Bucket(gi int) []graph.NodeID { return s.buckets[gi] }
 
 // PostSelect repairs unmet lower bounds from the buckets: for every deficient
@@ -181,6 +196,7 @@ func (s *Streamer) PostSelect() []graph.NodeID {
 			}
 			v := s.buckets[gi][best]
 			s.buckets[gi] = append(s.buckets[gi][:best], s.buckets[gi][best+1:]...)
+			s.bucketed.Remove(v)
 			s.accept(v, gi, s.util.Marginal(v))
 			s.postAdded++
 			added = append(added, v)

@@ -252,3 +252,65 @@ func TestStreamerQuarterOfGreedy(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamerBucketsEachNodeOnce: re-streaming a rejected node must not
+// grow its bucket; a node PostSelect picks leaves the bucket and is
+// bucketed afresh if it is rejected again after an eviction; and resuming
+// a checkpoint that lists a node several times keeps its first entry only.
+func TestStreamerBucketsEachNodeOnce(t *testing.T) {
+	g := ratingsGraph(t, []float64{5, 4, 100, 1})
+	groups, _ := NewGroups(Group{Name: "a", Members: []graph.NodeID{0, 1}, Lower: 0, Upper: 1})
+	s := NewStreamer(groups, NewRatingSum(g, "rating"), 1)
+	s.Process(0)
+	for i := 0; i < 2000; i++ {
+		if r := s.Process(1); r.Decision != Rejected {
+			t.Fatalf("round %d: node 1 should be rejected, got %v", i, r.Decision)
+		}
+	}
+	if b := s.Bucket(0); len(b) != 1 || b[0] != 1 {
+		t.Fatalf("bucket after 2000 rejections = %v, want [1]", b)
+	}
+
+	// Group b = {2, 3} needs one member; the checkpoint predates dedup.
+	groups, _ = NewGroups(Group{Name: "b", Members: []graph.NodeID{2, 3}, Lower: 1, Upper: 1})
+	st := &StreamerState{Buckets: [][]graph.NodeID{{3, 2, 3, 3}}}
+	s, err := ResumeStreamer(groups, NewRatingSum(g, "rating"), 1, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := s.Bucket(0); len(b) != 2 || b[0] != 3 || b[1] != 2 {
+		t.Fatalf("resumed bucket = %v, want [3 2]", b)
+	}
+	// PostSelect picks 2 (the higher rating); 3 stays bucketed.
+	if added := s.PostSelect(); len(added) != 1 || added[0] != 2 {
+		t.Fatalf("PostSelect added %v, want [2]", added)
+	}
+	if b := s.Bucket(0); len(b) != 1 || b[0] != 3 {
+		t.Fatalf("bucket after PostSelect = %v, want [3]", b)
+	}
+	cp, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cp.Buckets[0]) != 1 {
+		t.Fatalf("checkpoint buckets = %v", cp.Buckets)
+	}
+
+	// A picked node that is evicted and rejected again is bucketed afresh.
+	s, err = ResumeStreamer(groups, NewRatingSum(g, "rating"), 1, &StreamerState{Buckets: [][]graph.NodeID{{3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if added := s.PostSelect(); len(added) != 1 || added[0] != 3 {
+		t.Fatalf("PostSelect added %v, want [3]", added)
+	}
+	if r := s.Process(2); r.Decision != Swapped || r.Evicted != 3 {
+		t.Fatalf("node 2 should swap out 3, got %+v", r)
+	}
+	if r := s.Process(3); r.Decision != Rejected {
+		t.Fatalf("node 3 should be rejected, got %v", r.Decision)
+	}
+	if b := s.Bucket(0); len(b) != 1 || b[0] != 3 {
+		t.Fatalf("bucket after re-rejection = %v, want [3]", b)
+	}
+}
